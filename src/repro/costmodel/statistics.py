@@ -138,9 +138,10 @@ class StreamStatistics:
         per_path_sizes: Dict[Path, List[int]] = {}
         per_path_counts: Dict[Path, int] = {}
         per_path_values: Dict[Path, List[float]] = {}
+        interned: Dict[Tuple[str, ...], Path] = {}
         for item in items:
             total_size += item.serialized_size()
-            _walk(item, item_path, per_path_sizes, per_path_counts, per_path_values)
+            _walk(item, item_path, interned, per_path_sizes, per_path_counts, per_path_values)
 
         stats = cls(
             stream=stream,
@@ -361,17 +362,24 @@ def _build_histogram(
 def _walk(
     item: Element,
     item_path: Path,
+    interned: Dict[Tuple[str, ...], Path],
     sizes: Dict[Path, List[int]],
     counts: Dict[Path, int],
     values: Dict[Path, List[float]],
 ) -> None:
-    """Collect per-path size/occurrence/value samples from one item."""
+    """Collect per-path size/occurrence/value samples from one item.
+
+    ``interned`` maps step tuples to the :class:`Path` built for them, so
+    a sample validates each distinct path once rather than per node.
+    """
     stack: List[Tuple[Element, Tuple[str, ...]]] = [
         (child, item_path.steps + (child.tag,)) for child in item.children
     ]
     while stack:
         node, steps = stack.pop()
-        path = Path(steps)
+        path = interned.get(steps)
+        if path is None:
+            path = interned[steps] = Path(steps)
         sizes.setdefault(path, []).append(node.serialized_size())
         counts[path] = counts.get(path, 0) + 1
         if node.text is not None:

@@ -79,12 +79,6 @@ def columnar_stats() -> Dict[str, int]:
     return dict(STATS)
 
 
-def reset_columnar_stats() -> None:
-    """Zero the counters (test isolation)."""
-    for key in STATS:
-        STATS[key] = 0
-
-
 def columnar_mode() -> str:
     """Resolve the ``REPRO_COLUMNAR`` switch to ``auto``/``on``/``off``."""
     value = os.environ.get(ENV_VAR, "").strip().lower()

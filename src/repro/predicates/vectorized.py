@@ -17,7 +17,7 @@ byte-identical row sets.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 #: A compiled edge (re-exported shape; owned by repro.engine.select).
 CompiledEdge = Tuple[Optional[Tuple[str, ...]], Optional[Tuple[str, ...]], float, bool]
@@ -98,8 +98,3 @@ def filter_rows(
                 and left <= r + bound
             ]
     return rows
-
-
-def rows_as_list(rows: Sequence[int]) -> List[int]:
-    """Materialize a row vector (``range`` views included) as a list."""
-    return rows if isinstance(rows, list) else list(rows)

@@ -29,7 +29,7 @@ Token kinds
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from .errors import LexError
 
@@ -251,8 +251,3 @@ class Lexer:
 def tokenize(text: str) -> List[Token]:
     """Tokenize ``text``; the final token always has kind ``EOF``."""
     return Lexer(text).tokens()
-
-
-def iter_tokens(text: str) -> Iterator[Token]:
-    """Iterator form of :func:`tokenize`."""
-    return iter(tokenize(text))

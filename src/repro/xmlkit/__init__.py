@@ -14,7 +14,7 @@ exported here:
 
 from .element import Element, element
 from .errors import XmlError, XmlParseError, XmlPathError, XmlSchemaError
-from .parser import parse, parse_stream
+from .parser import parse, parse_next, parse_stream
 from .path import EMPTY_PATH, Path, parse_path
 from .schema import PHOTON_SCHEMA, Schema, SchemaNode
 from .serializer import pretty, serialize
@@ -34,6 +34,7 @@ __all__ = [
     "XmlPathError",
     "XmlSchemaError",
     "parse",
+    "parse_next",
     "parse_stream",
     "Path",
     "parse_path",

@@ -368,8 +368,3 @@ def shape_of(element: Element) -> Optional[Shape]:
         shape = Shape(root, signature, _compile_validator(signature), tuple(paths))
         _REGISTRY[signature] = shape
     return shape
-
-
-def registry_size() -> int:
-    """Number of interned shapes (telemetry/testing)."""
-    return len(_REGISTRY)

@@ -1,5 +1,8 @@
 """Tests for stream trace recording and replay."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.workload.photons import PhotonGenerator, PhotonStreamConfig
@@ -10,7 +13,7 @@ from repro.workload.trace import (
     record_trace,
     save_trace,
 )
-from repro.xmlkit import Path, parse_stream
+from repro.xmlkit import Path, XmlParseError, parse_stream
 
 
 @pytest.fixture()
@@ -57,7 +60,6 @@ class TestReplay:
         replay = TraceReplayGenerator(photons[:3])
         for _ in range(3):
             replay.next_item()
-        assert replay.remaining == 0
         with pytest.raises(TraceError):
             replay.next_item()
 
@@ -80,6 +82,53 @@ class TestReplay:
         save_trace(photons, path)
         replay = TraceReplayGenerator.from_file(path)
         assert replay.next_item() == photons[0]
+
+    def test_from_file_yields_the_loaded_items(self, photons, tmp_path):
+        path = str(tmp_path / "trace.xml")
+        save_trace(photons, path)
+        replay = TraceReplayGenerator.from_file(path)
+        replayed = [replay.next_item() for _ in range(len(photons))]
+        assert replayed == load_trace(path)
+        assert len({id(item) for item in replayed}) == len(replayed)
+        assert all(item.frozen for item in replayed)
+        with pytest.raises(TraceError):
+            replay.next_item()
+
+    @pytest.mark.parametrize("reference", [Path("det_time"), None])
+    def test_looping_file_matches_in_memory_clocks(self, photons, tmp_path, reference):
+        path = str(tmp_path / "trace.xml")
+        save_trace(photons[:5], path)
+        lazy = TraceReplayGenerator.from_file(path, reference=reference, loop=True)
+        eager = TraceReplayGenerator(photons[:5], reference=reference, loop=True)
+        for _ in range(17):
+            assert lazy.next_item() == eager.next_item()
+            assert lazy.clock == eager.clock
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))])
+    def test_copy_mid_stream_continues_identically(self, photons, tmp_path, clone):
+        path = str(tmp_path / "trace.xml")
+        save_trace(photons[:6], path)
+        replay = TraceReplayGenerator.from_file(path, loop=True)
+        for _ in range(4):
+            replay.next_item()
+        twin = clone(replay)
+        for _ in range(10):
+            item = replay.next_item()
+            assert twin.next_item() == item
+            assert twin.clock == replay.clock
+
+    def test_malformed_item_surfaces_when_reached(self, photons, tmp_path):
+        path = str(tmp_path / "trace.xml")
+        text = record_trace(photons[:4]).splitlines()
+        text[2] = text[2].replace("</en>", "</eN>")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(text))
+        replay = TraceReplayGenerator.from_file(path)
+        assert replay.next_item() == photons[0]
+        assert replay.next_item() == photons[1]
+        with pytest.raises(XmlParseError) as caught:
+            replay.next_item()
+        assert caught.value.line == 3
 
 
 class TestReplayDrivesTheSystem:

@@ -40,27 +40,44 @@ class TestWellFormed:
             assert parse(serialize(item)) == item
 
 
+#: Inputs every parser of this package must reject with XmlParseError.
+MALFORMED = [
+    "",
+    "just text",
+    "<a>",
+    "<a><b></a>",
+    "<a></b>",
+    "<a/><b/>",          # content after root
+    "<a attr='1'/>",     # attributes unsupported
+    "<a>&unknown;</a>",
+    "<a>&broken</a>",
+    "<a>text<b/></a>",   # mixed content
+    "<!-- unterminated <a/>",
+    "<?xml version='1.0' <a/>",
+    "<a>&#x;</a>",       # character references naming no XML character
+    "<a>&#xZZ;</a>",
+    "<a>&#;</a>",
+    "<a>&#99999999;</a>",
+    "<a>&#-5;</a>",
+    "<a>&#xD800;</a>",
+]
+
+#: The malformed character references above; each is at offset 3.
+BAD_CHAR_REFS = [text for text in MALFORMED if text.startswith("<a>&#")]
+
+
 class TestMalformed:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "just text",
-            "<a>",
-            "<a><b></a>",
-            "<a></b>",
-            "<a/><b/>",          # content after root
-            "<a attr='1'/>",     # attributes unsupported
-            "<a>&unknown;</a>",
-            "<a>&broken</a>",
-            "<a>text<b/></a>",   # mixed content
-            "<!-- unterminated <a/>",
-            "<?xml version='1.0' <a/>",
-        ],
-    )
+    @pytest.mark.parametrize("text", MALFORMED)
     def test_rejected(self, text):
         with pytest.raises(XmlParseError):
             parse(text)
+
+    @pytest.mark.parametrize("text", BAD_CHAR_REFS)
+    def test_bad_character_reference_points_at_it(self, text):
+        with pytest.raises(XmlParseError) as caught:
+            parse(text)
+        assert caught.value.position == 3
+        assert (caught.value.line, caught.value.column) == (1, 4)
 
     def test_error_has_position(self):
         try:
